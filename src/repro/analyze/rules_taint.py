@@ -20,7 +20,9 @@ and calls (see :mod:`repro.analyze.dataflow.taint`):
 Host sources: ``_granules`` / ``candidate_lists()`` (the address-granule
 candidate index), ``_order`` (the zero-copy program-order deque),
 ``_seg_seqs`` (per-segment bisection lists), ``_live`` / ``_occupied`` /
-``live_loads`` (O(1) occupancy mirrors).
+``live_loads`` (O(1) occupancy mirrors), the processor's ``_wake``
+index of parked memory-stage entries and its ``_event_horizon()``
+(the next cycle a stage can act, found by scanning host queues).
 
 Blessing: accessors that *derive model-architectural answers* from host
 indexes — the search itineraries ``backward_path``/``forward_path`` and
@@ -60,11 +62,13 @@ HOST_INDEX_ATTRS = {
     "_live": "O(1) live-slot counter",
     "_occupied": "O(1) occupied-segment counter",
     "live_loads": "O(1) live-load occupancy mirror",
+    "_wake": "memory-stage wake index of parked entries",
 }
 
 #: Calls whose results are host-index views regardless of receiver.
 HOST_INDEX_CALLS = {
     "candidate_lists": "granule-index candidate buckets",
+    "_event_horizon": "quiet-cycle event horizon",
 }
 
 #: Port-charge calls: tainted arguments are SIM-T002.

@@ -53,7 +53,6 @@ from dataclasses import replace
 from typing import Dict, List
 
 from repro.config import (
-    SIM_BACKENDS,
     MachineConfig,
     base_machine,
     conventional_lsq,
@@ -103,8 +102,7 @@ def _machine(args) -> MachineConfig:
         _usage_error(f"unknown LSQ preset {args.lsq!r}; choose from: "
                      f"{', '.join(sorted(PRESETS))}")
     lsq = PRESETS[args.lsq](ports=args.ports)
-    return replace(core, lsq=lsq,
-                   backend=getattr(args, "backend", "python"))
+    return replace(core, lsq=lsq)
 
 
 def _load_trace(args) -> Trace:
@@ -228,11 +226,6 @@ def cmd_trace(args) -> None:
         _usage_error("trace: benchmark required (or pass --smoke)")
     trace = _load_trace(args)
     machine = _machine(args)
-    if machine.backend == "fast":
-        print("trace: backend=fast has no observer/pipetrace hooks; "
-              "running this observation under the python engine "
-              "(SimStats are bit-identical either way)", file=sys.stderr)
-        machine = machine.with_backend("python")
     observer = Observer(ObsConfig(sample_interval=args.sample_interval,
                                   event_limit=args.event_limit))
     processor = Processor(machine, obs=observer)
@@ -284,14 +277,6 @@ def cmd_profile(args) -> None:
                      f"from: {', '.join(ALL_BENCHMARKS)} (profile "
                      "regenerates the trace by name, so .lsqtrace files "
                      "are not accepted)")
-    if getattr(args, "backend", "python") == "fast":
-        # Refusing beats profiling the wrong thing: the fast engine's
-        # batched kernels would swamp the model functions the profile
-        # table exists to rank, and a profiled fast run would merge
-        # misleading hot-function rows into the report.
-        _usage_error("profile: backend=fast is not supported — the "
-                     "profile table ranks the python model's functions; "
-                     "rerun with --backend python")
     machine = _machine(args)
     label = f"{args.lsq}-{args.ports}p"
     cell = Cell(benchmark=args.benchmark, machine=machine, seed=args.seed,
@@ -333,10 +318,6 @@ def cmd_pipetrace(args) -> None:
     from repro.pipeline.debug import PipelineTracer
     trace = _load_trace(args)
     machine = _machine(args)
-    if machine.backend == "fast":
-        print("pipetrace: backend=fast has no pipetrace hooks; running "
-              "this diagram under the python engine", file=sys.stderr)
-        machine = machine.with_backend("python")
     processor = Processor(machine)
     processor.tracer = PipelineTracer(limit=args.last + 1)
     processor.run(trace)
@@ -352,18 +333,13 @@ def cmd_check(args) -> None:
     )
     benchmarks = _resolve_benchmarks(args.benchmark)
     presets = sorted(PRESETS) if args.lsq == "all" else [args.lsq]
-    if getattr(args, "backend", "python") == "fast":
-        print("check: validation is checker-attached, which always "
-              "runs the python engine; backend=fast noted but the "
-              "reference engine is used", file=sys.stderr)
     failed = 0
     hung = 0
     for bench in benchmarks:
         trace = generate_trace(bench, n_instructions=args.instructions)
         for preset in presets:
             machine = replace(base_machine(),
-                              lsq=PRESETS[preset](ports=args.ports),
-                              backend=getattr(args, "backend", "python"))
+                              lsq=PRESETS[preset](ports=args.ports))
             checker = ValidationChecker()
             try:
                 result = simulate(trace, machine, checker=checker)
@@ -448,12 +424,7 @@ def cmd_litmus(args) -> None:
         seeds = _parse_seed_range(args.seed_range)
     fence_modes = {"off": (False,), "on": (True,),
                    "both": (False, True)}[args.fence]
-    if getattr(args, "backend", "python") == "fast":
-        print("litmus: the battery is checker-attached, which always "
-              "runs the python engine; backend=fast noted but the "
-              "reference engine is used", file=sys.stderr)
-    machine = replace(base_machine(), lsq=_litmus_lsq(args.lsq, args.ports),
-                      backend=getattr(args, "backend", "python"))
+    machine = replace(base_machine(), lsq=_litmus_lsq(args.lsq, args.ports))
     model = (None if args.model == "auto"
              else OrderingModel(args.model))
     try:
@@ -566,8 +537,7 @@ def cmd_bench(args) -> None:
         for preset in presets:
             ports = args.ports or BENCH_DEFAULT_PORTS.get(preset, 2)
             machine = replace(base_machine(),
-                              lsq=PRESETS[preset](ports=ports),
-                              backend=args.backend)
+                              lsq=PRESETS[preset](ports=ports))
             for seed in seeds:
                 cells.append(Cell(benchmark=bench, machine=machine,
                                   seed=seed, n_instructions=n_instructions,
@@ -623,18 +593,14 @@ def _compare_report(old_path: str, report) -> None:
     """The inline perf-regression gate (same as scripts/bench_diff.py)."""
     import json
 
-    from repro.harness.engine import ReportBackendMismatch, diff_reports
+    from repro.harness.engine import diff_reports
     try:
         with open(old_path) as handle:
             old_report = json.load(handle)
     except (OSError, ValueError) as error:
         _usage_error(f"bench: cannot read --compare baseline: {error}")
         return
-    try:
-        problems = diff_reports(old_report, report)
-    except ReportBackendMismatch as error:
-        _usage_error(f"bench: {error}")
-        return
+    problems = diff_reports(old_report, report)
     if problems:
         print(f"bench: {len(problems)} regression(s) vs {old_path}:")
         for problem in problems:
@@ -958,12 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--ports", type=int, default=2)
             p.add_argument("--scaled", action="store_true",
                            help="use the 12-wide scaled machine (Sec. 4.3)")
-            p.add_argument("--backend", choices=list(SIM_BACKENDS),
-                           default="python",
-                           help="simulation engine: 'python' (reference) "
-                                "or 'fast' (repro.fastcore; bit-identical "
-                                "SimStats, enforced by the golden-parity "
-                                "suite)")
 
     run = sub.add_parser("run", help="simulate one benchmark")
     add_common(run)
@@ -1003,11 +963,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="search ports for every preset (default: "
                             "the paper's pairing, 2p conventional/"
                             "segmented vs 1p techniques/full)")
-    bench.add_argument("--backend", choices=list(SIM_BACKENDS),
-                       default="python",
-                       help="simulation engine for every cell (part of "
-                            "the cache key; reports carry the tag and "
-                            "bench-diff refuses cross-backend compares)")
     bench.add_argument("--validate", action="store_true",
                        help="run every cell under the memory-model "
                             "oracle and invariant checker")
@@ -1059,11 +1014,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--ports", type=int, default=2)
     trace.add_argument("--scaled", action="store_true",
                        help="use the 12-wide scaled machine (Sec. 4.3)")
-    trace.add_argument("--backend", choices=list(SIM_BACKENDS),
-                       default="python",
-                       help="accepted for symmetry; observation always "
-                            "runs the python engine (the fast engine "
-                            "has no observer hooks) with a notice")
     trace.add_argument("--smoke", action="store_true",
                        help="fixed tiny run (gzip, 800 instructions) "
                             "for the CI trace-smoke gate")
@@ -1107,11 +1057,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--lsq", choices=sorted(PRESETS) + ["all"],
                        default="all")
     check.add_argument("--ports", type=int, default=2)
-    check.add_argument("--backend", choices=list(SIM_BACKENDS),
-                       default="python",
-                       help="accepted for symmetry; validation is "
-                            "checker-attached, which always uses the "
-                            "python engine (printed as a notice)")
     check.add_argument("--faults", action="store_true",
                        help="also run the fault-injection campaigns and "
                             "assert zero silent corruptions")
@@ -1147,11 +1092,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="LSQ preset; 'membar' is the Section 2.2 "
                              "software-ordering design (relaxed model)")
     litmus.add_argument("--ports", type=int, default=2)
-    litmus.add_argument("--backend", choices=list(SIM_BACKENDS),
-                        default="python",
-                        help="accepted for symmetry; litmus runs are "
-                             "checker-attached, which always uses the "
-                             "python engine (printed as a notice)")
     litmus.add_argument("--model",
                         choices=["auto", "sc", "tso", "relaxed"],
                         default="auto",

@@ -29,7 +29,7 @@ contention) require another attempt.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.config import (
     ContentionPolicy,
@@ -68,6 +68,9 @@ EARLY_SCHEDULING_PENALTY = 3
 #: modeled port/segment charges follow the itinerary, the host walks
 #: only same-address candidates — see docs/PERFORMANCE.md).
 SearchPath = List[int]
+
+#: The itinerary of a search that does not happen (shared, never mutated).
+_NO_PATH: List[int] = []
 
 
 class Violation(NamedTuple):
@@ -148,6 +151,11 @@ class LoadStoreQueue:
         # Memory barriers currently in flight (software load-load
         # ordering, Section 2.2's first option).
         self._membars: List[DynInst] = []
+        self._load_searches_lq = config.lq_search in (
+            LoadQueueSearchMode.SEARCH_LQ,
+            LoadQueueSearchMode.IN_ORDER_ALWAYS_SEARCH)
+        self._next_cycle_retry = Retry(0)
+        self._detection_at_commit = config.detection_at_commit
         # Scheme (2): synthetic external-invalidation traffic.
         self._inval_accum = 0.0
         self._inval_ring: List[int] = []
@@ -161,8 +169,9 @@ class LoadStoreQueue:
         self.lq_ports.begin_cycle(cycle)
         self.sq_ports.begin_cycle(cycle)
 
-    def sample(self) -> None:
-        """Accumulate per-cycle occupancy statistics (Tables 4 and 5)."""
+    def sample(self, cycles: int = 1) -> None:
+        """Accumulate occupancy statistics (Tables 4 and 5) for
+        ``cycles`` cycles over which the queues do not change."""
         if self.config.unified_queue:
             # live_loads is the host-side mirror of the modeled load
             # occupancy: it counts exactly the live LOAD slots of the
@@ -170,12 +179,12 @@ class LoadStoreQueue:
             # by the parity tests), so charging it here prices the
             # model, not the host shortcut.
             loads = self.lq.live_loads
-            self.stats.lq_occupancy_cycles += loads  # sim-lint: ignore[SIM-T001]
-            self.stats.sq_occupancy_cycles += len(self.lq) - loads  # sim-lint: ignore[SIM-T001]
+            self.stats.lq_occupancy_cycles += loads * cycles  # sim-lint: ignore[SIM-T001]
+            self.stats.sq_occupancy_cycles += (len(self.lq) - loads) * cycles  # sim-lint: ignore[SIM-T001]
         else:
-            self.stats.lq_occupancy_cycles += len(self.lq)
-            self.stats.sq_occupancy_cycles += len(self.sq)
-        self.stats.ooo_load_cycles += self.nilp.ooo_in_flight
+            self.stats.lq_occupancy_cycles += len(self.lq) * cycles
+            self.stats.sq_occupancy_cycles += len(self.sq) * cycles
+        self.stats.ooo_load_cycles += self.nilp.ooo_in_flight * cycles
 
     # ------------------------------------------------------------------
     # dispatch
@@ -207,18 +216,27 @@ class LoadStoreQueue:
         """Why this load may not yet access memory (None when free)."""
         if self._membar_blocks(load):
             return "membar"
-        blocker = self._store_set_blocker(load)
-        if blocker is not None:
-            return blocker
+        if self.store_set_blocker(load) is not None:
+            return "store_set"
         mode = self.config.lq_search
         if mode is LoadQueueSearchMode.LOAD_BUFFER:
-            if not self.nilp.is_in_order(load) and self.load_buffer.full:
+            if self.load_buffer_refuses(load):
                 return "load_buffer_full"
         elif mode in (LoadQueueSearchMode.IN_ORDER,
                       LoadQueueSearchMode.IN_ORDER_ALWAYS_SEARCH):
             if not self.nilp.is_in_order(load):
                 return "in_order"
         return None
+
+    def load_buffer_refuses(self, load: DynInst) -> bool:
+        """The load-buffer gate of :meth:`load_blocked` on its own: an
+        out-of-order load finds the buffer full.
+
+        Once a load has passed every gate, this is the only one that can
+        refuse it again: its barriers and store-set predecessors are
+        older and do not come back, and an in-order load stays in order.
+        """
+        return not self.nilp.is_in_order(load) and self.load_buffer.full
 
     def store_blocked(self, store: DynInst) -> Optional[str]:
         """Why this store may not yet execute."""
@@ -323,18 +341,23 @@ class LoadStoreQueue:
             else:
                 self._inval_ring[self._inval_cursor % 64] = addr
 
-    def _store_set_blocker(self, load: DynInst) -> Optional[str]:
+    def store_set_blocker(self, load: DynInst) -> Optional[DynInst]:
+        """The older un-executed store this load must wait for, if any.
+
+        The load stays blocked until that store executes: the store is
+        older, so a squash that removes it removes the load too.
+        """
         if self.config.predictor is PredictorMode.PERFECT:
             match = self._oracle_match(load)
             if match is not None and not match.mem_executed:
-                return "store_set"
+                return match
             return None
         if load.wait_store_seq is None:
             return None
         store = self._stores.get(load.wait_store_seq)
         if (store is not None and not store.squashed
                 and not store.mem_executed and store.seq < load.seq):
-            return "store_set"
+            return store
         return None
 
     def _oracle_match(self, load: DynInst) -> Optional[DynInst]:
@@ -371,23 +394,14 @@ class LoadStoreQueue:
         hazard (search port, data-cache port, or pipelined-search
         contention under the STALL policy / SQUASH replay).
         """
-        need_sq = self._needs_sq_search(load)
-        mode = self.config.lq_search
-        need_lq = mode in (LoadQueueSearchMode.SEARCH_LQ,
-                           LoadQueueSearchMode.IN_ORDER_ALWAYS_SEARCH)
-
-        # Searches against a region the occupancy bits show empty do not
-        # activate the CAM, hence need no port (the search *event* is
-        # still counted against bandwidth demand, as in the paper).
-        sq_path = self.sq.backward_path(load.seq) if need_sq else []
-        lq_path = self.lq.forward_path(load.seq) if need_lq else []
-
+        # The data port first: the search plan below is pure, so a load
+        # that loses the port skips it.
         if not self.memory.d_ports.available(cycle):
-            self.stats.dcache_port_stalls += 1
-            if self.obs is not None:
-                self.obs.emit("port_retry", seq=load.seq, pc=load.pc,
-                              note="dcache")
-            return Retry(cycle + 1)
+            return self.dcache_stall(load, cycle)
+        plan = self._search_plan(load, cycle)
+        need_sq: bool = plan[1]
+        sq_path: List[int] = plan[3] if need_sq else _NO_PATH
+        lq_path: List[int] = plan[5]
         if self.sq_ports is self.lq_ports and sq_path and lq_path:
             # Unified queue: both searches draw on one port pool, so
             # admission must consider their joint demand per slot.
@@ -421,9 +435,91 @@ class LoadStoreQueue:
         latency = self._load_latency(load, forwarded_store, segments_searched,
                                      sq_path, cycle)
         self._finish_load_issue(load)
+        load.search_plan = None       # the load searches no more
         return LoadResult(latency=latency,
                           forwarded=forwarded_store is not None,
                           violation=violation)
+
+    def _search_plan(self, load: DynInst, cycle: int) -> List[Any]:
+        """``load``'s search plan for this cycle: ``[cycle, need_sq,
+        sq_stamp, sq_path, lq_stamp, lq_path]`` — whether it searches
+        the SQ, and its SQ and LQ search itineraries.
+
+        Searches against a region the occupancy bits show empty do not
+        activate the CAM, hence need no port (the search *event* is
+        still counted against bandwidth demand, as in the paper).  The
+        SQ decision is made once per load and cycle, so
+        :meth:`search_stall` and :meth:`try_execute_load` share it.  The
+        itineraries are kept on the load between cycles, dated by the
+        queues' change counters: a load's backward (SQ) path changes
+        only when an older store commits, its forward (LQ) path only
+        when the queue's tail moves.
+        """
+        plan = load.search_plan
+        if plan is None:
+            plan = load.search_plan = [-1, False, -1, _NO_PATH, -1, _NO_PATH]
+        if plan[0] != cycle:
+            plan[0] = cycle
+            plan[1] = need_sq = self._needs_sq_search(load)
+            sq = self.sq
+            if need_sq and plan[2] != sq.commits:
+                plan[2] = sq.commits
+                plan[3] = sq.backward_path(load.seq)
+            lq = self.lq
+            if self._load_searches_lq and plan[4] != lq.tail_changes:
+                plan[4] = lq.tail_changes
+                plan[5] = lq.forward_path(load.seq)
+        return plan
+
+    @hotpath
+    def search_stall(self, load: DynInst,
+                     cycle: int) -> Optional[Retry]:
+        """Charge a load whose search cannot start this cycle.
+
+        When the first segment of its SQ search (or, with the SQ search
+        admitted, of its LQ search) has no port left at ``cycle``,
+        :meth:`try_execute_load` would charge that port stall and retry;
+        this returns the same :class:`Retry` without the attempt.
+        ``None`` means the load needs the full attempt.
+        """
+        plan = load.search_plan
+        if plan is None or plan[0] != cycle:
+            plan = self._search_plan(load, cycle)
+        sq_path = plan[3] if plan[1] else _NO_PATH
+        lq_path = plan[5]
+        if sq_path:
+            if lq_path and self.sq_ports is self.lq_ports:
+                return None     # joint admission on one shared pool
+            if not self.sq_ports.available(sq_path[0], cycle):
+                self.stats.sq_port_stalls += 1
+                return self._port_retry("sq", cycle)
+            if len(sq_path) > 1 and \
+                    self.sq_ports.check_path(sq_path, cycle) != "ok":
+                return None     # contention: the attempt resolves it
+        if lq_path and not self.lq_ports.available(lq_path[0], cycle):
+            self.stats.lq_port_stalls += 1
+            return self._port_retry("lq", cycle)
+        return None
+
+    def _port_retry(self, note: str, cycle: int) -> Retry:
+        """The retry of a search refused a port at ``cycle``."""
+        if self.obs is not None:
+            self.obs.emit("port_retry", note=note)
+        retry = self._next_cycle_retry
+        if retry.next_cycle != cycle + 1:
+            retry = self._next_cycle_retry = Retry(cycle + 1)
+        return retry
+
+    def dcache_stall(self, load: DynInst, cycle: int) -> Retry:
+        """Charge a load that lost data-cache port arbitration."""
+        self.stats.dcache_port_stalls += 1
+        if self.obs is not None:
+            self.obs.emit("port_retry", seq=load.seq, pc=load.pc,
+                          note="dcache")
+        retry = self._next_cycle_retry
+        if retry.next_cycle != cycle + 1:
+            retry = self._next_cycle_retry = Retry(cycle + 1)
+        return retry
 
     def _admit_joint(self, calendar: PortCalendar, path_a: List[int],
                      path_b: List[int], cycle: int) -> Optional[Retry]:
@@ -468,9 +564,7 @@ class LoadStoreQueue:
                 stats.sq_port_stalls += 1
             else:
                 stats.lq_port_stalls += 1
-            if self.obs is not None:
-                self.obs.emit("port_retry", note=which)
-            return Retry(cycle + 1)
+            return self._port_retry(which, cycle)
         # busy_later: Section 3.2 contention.
         if self.obs is not None:
             self.obs.emit("port_retry", note=f"{which}-contention")
@@ -612,10 +706,23 @@ class LoadStoreQueue:
     # store execution and commit
     # ------------------------------------------------------------------
 
+    def store_search_stall(self, store: DynInst,
+                           cycle: int) -> Optional[Retry]:
+        """Charge a store whose load-queue search cannot start this
+        cycle (the first segment has no port left), as
+        :meth:`try_execute_store` would; ``None`` when it must attempt."""
+        if self._detection_at_commit:
+            return None
+        path = self.lq.forward_path(store.seq)
+        if path and not self.lq_ports.available(path[0], cycle):
+            self.stats.lq_port_stalls += 1
+            return self._port_retry("lq", cycle)
+        return None
+
     def try_execute_store(self, store: DynInst,
                           cycle: int) -> Union[StoreResult, Retry]:
         """Store address generation + (conventional) load-queue search."""
-        if self.config.detection_at_commit:
+        if self._detection_at_commit:
             store.mem_executed = True
             self.predictor.on_store_issue(store)
             return StoreResult(violation=None)
@@ -661,7 +768,7 @@ class LoadStoreQueue:
                 self.stats.store_load_squashes += 1
                 self.predictor.train_violation(hit.pc, store.pc)
                 extra = 0
-                if self.config.detection_at_commit:
+                if self._detection_at_commit:
                     extra = self.pair_rollback_penalty
                     self.stats.missed_dependences += 1
                 return Violation(hit.seq, "store-load",
@@ -680,7 +787,7 @@ class LoadStoreQueue:
             return Retry(cycle + 1)
 
         violation: Optional[Violation] = None
-        if self.config.detection_at_commit:
+        if self._detection_at_commit:
             path = self.lq.forward_path(store.seq)
             state = self.lq_ports.check_path(path, cycle)
             if state != "ok":

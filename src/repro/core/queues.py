@@ -70,7 +70,7 @@ class SegmentedQueue:
     __slots__ = (
         "name", "num_segments", "segment_entries", "policy",
         "_segments", "_seg_seqs", "_order", "_virtual", "_tail_segment",
-        "_occupied", "_granules", "live_loads",
+        "_occupied", "_granules", "live_loads", "commits", "tail_changes",
     )
 
     def __init__(self, name: str, segments: int, segment_entries: int,
@@ -96,6 +96,11 @@ class SegmentedQueue:
         #: Loads currently in the queue (O(1) occupancy sampling for the
         #: unified-queue configuration).
         self.live_loads = 0
+        #: Change counters (host-only) that date cached itineraries: an
+        #: in-flight entry's backward path changes only when the head
+        #: commits, its forward path only when the tail moves.
+        self.commits = 0
+        self.tail_changes = 0
 
     # -- basic accessors ---------------------------------------------------
 
@@ -158,6 +163,7 @@ class SegmentedQueue:
         inst.lsq_segment = target
         inst.lsq_virtual = self._virtual
         self._virtual += 1
+        self.tail_changes += 1
         self._tail_segment = target
         segment = self._segments[target]
         if not segment:
@@ -203,6 +209,7 @@ class SegmentedQueue:
         if not order or order[0] is not inst:
             raise RuntimeError(f"{self.name}: commit out of order")
         order.popleft()
+        self.commits += 1
         segment = self._segments[inst.lsq_segment]
         if not segment or segment[0] is not inst:
             # The oldest overall entry is the oldest in its segment.
@@ -237,6 +244,7 @@ class SegmentedQueue:
                 self.live_loads -= 1
             self._index_remove(inst)
         if dropped:
+            self.tail_changes += 1
             self._virtual = dropped[-1].lsq_virtual
             youngest = self.youngest
             if youngest is not None:

@@ -10,7 +10,6 @@ with a ``format()`` text rendering that mirrors the paper's rows/series.
 from repro.harness.engine import (
     Cell,
     CellResult,
-    ReportBackendMismatch,
     ResultCache,
     SweepEngine,
     sweep_report,
@@ -26,7 +25,6 @@ __all__ = [
     "Cell",
     "CellResult",
     "ExperimentRunner",
-    "ReportBackendMismatch",
     "ResultCache",
     "SweepEngine",
     "default_instructions",

@@ -118,6 +118,14 @@ class Observer:
             self.cpi.on_cycle_end(processor)
         self.sampler.on_cycle_end(processor)
 
+    def on_skip(self, processor: "Processor", span: int) -> None:
+        """``span`` quiet cycles from ``processor.cycle`` on, already
+        charged to the stats: the same as ``span`` calls of
+        :meth:`end_cycle`, since no stage acts in any of them."""
+        if self.cpi is not None:
+            self.cpi.on_skip(processor, span)
+        self.sampler.on_skip(processor, span)
+
     # -- event hooks (called by the processor) ----------------------------
 
     def on_issue(self, inst: "DynInst") -> None:

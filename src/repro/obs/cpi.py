@@ -81,6 +81,29 @@ class CpiStack:
         if idle:
             self.slots[self._classify(processor, deltas)] += idle
 
+    def on_skip(self, processor: "Processor", span: int) -> None:
+        """Attribute ``span`` quiet cycles starting at ``processor.cycle``.
+
+        Quiet cycles commit nothing and each charges the same stalls, so
+        the stats' growth since the last cycle splits evenly over the
+        span, and only the recovery window can change the cause.
+        """
+        stats = processor.stats
+        deltas = {}
+        for name in _DELTA_FIELDS:
+            value = int(getattr(stats, name))
+            deltas[name] = (value - self._last.get(name, 0)) // span
+            self._last[name] = value
+        self.cycles += span
+        if processor.rob.head is None:
+            recovering = min(max(self._recovery_until - processor.cycle, 0),
+                             span)
+            self.slots["squash_recovery"] += recovering * self.commit_width
+            self.slots["fetch"] += (span - recovering) * self.commit_width
+        else:
+            cause = self._classify(processor, deltas)
+            self.slots[cause] += span * self.commit_width
+
     def _classify(self, processor: "Processor",
                   deltas: Mapping[str, int]) -> str:
         head = processor.rob.head

@@ -94,6 +94,18 @@ class IntervalSampler:
         self._cycles_seen += 1
         if self._cycles_seen % self.interval:
             return
+        self._sample(processor, processor.cycle)
+
+    def on_skip(self, processor: "Processor", span: int) -> None:
+        """``span`` quiet cycles from ``processor.cycle`` on.  No sampled
+        counter moves in a quiet cycle, so each sample due in the span
+        reads the processor as it stands."""
+        first = self.interval - self._cycles_seen % self.interval
+        for offset in range(first, span + 1, self.interval):
+            self._sample(processor, processor.cycle + offset - 1)
+        self._cycles_seen += span
+
+    def _sample(self, processor: "Processor", cycle: int) -> None:
         stats = processor.stats
         deltas = {}
         for name in _DELTA_FIELDS:
@@ -109,7 +121,7 @@ class IntervalSampler:
         if len(self._rows) == self.capacity:
             self.dropped += 1
         self._rows.append(Sample(
-            cycle=processor.cycle,
+            cycle=cycle,
             committed=committed,
             ipc=committed / self.interval,
             rob_occ=len(processor.rob),

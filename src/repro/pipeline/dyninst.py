@@ -44,7 +44,7 @@ class DynInst:
         "forwarded_from", "forwarded_from_pc", "ooo_issued",
         "load_buffer_slot", "wait_store_seq", "predicted_dependent",
         "searched_sq", "lsq_segment", "lsq_virtual", "ssid",
-        "mem_attempt_cycle", "mispredicted", "mem_executed",
+        "search_plan", "mispredicted", "mem_executed",
     )
 
     def __init__(self, seq: int, trace_index: int, inst: Instruction) -> None:
@@ -73,7 +73,8 @@ class DynInst:
         self.lsq_segment = -1            # segment holding this entry
         self.lsq_virtual = -1            # ring position (no-self-circular)
         self.ssid: Optional[int] = None  # store-set id at dispatch
-        self.mem_attempt_cycle = -1
+        #: The LSQ's cached search itineraries (see LoadStoreQueue).
+        self.search_plan: Optional[list] = None
         self.mispredicted = False
         self.mem_executed = False        # address resolved at the LSQ
 

@@ -33,12 +33,17 @@ class IssueQueue:
     def full(self) -> bool:
         return self._occupancy >= self.capacity
 
+    @property
+    def has_ready(self) -> bool:
+        """True when select may find work (stale entries included)."""
+        return bool(self._ready)
+
     def dispatch(self, inst: DynInst) -> None:
-        if self.full:
+        if self._occupancy >= self.capacity:
             raise RuntimeError("dispatch into a full issue queue")
         self._occupancy += 1
         if inst.pending_sources == 0:
-            self.wake(inst)
+            heapq.heappush(self._ready, (inst.seq, inst))
 
     def wake(self, inst: DynInst) -> None:
         """Mark ``inst`` ready for selection."""

@@ -17,6 +17,14 @@ Cycle phasing (per simulated cycle, in this order):
    functional units.
 5. **dispatch** — rename into ROB + issue queue + LSQ.
 6. **fetch** — fill the fetch buffer; branch predictor; I-cache.
+
+The memory stage is event driven on the host (see
+:mod:`repro.pipeline.wakeup`): a load the LSQ refuses is parked on its
+blocker and re-asked only when that blocker changes, and once the
+cycle's data-cache ports are gone every later ripe load is charged its
+port stall without an access attempt.  Cycles in which no stage can act
+are skipped up to the next event, each still charged exactly as
+:meth:`Processor.step` would charge it.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
-from repro.config import MachineConfig
+from repro.config import LoadQueueSearchMode, MachineConfig
 from repro.core.hotpath import hotpath
 from repro.core.lsq import LoadStoreQueue, Retry, Violation
 from repro.memory.hierarchy import MemoryHierarchy
@@ -36,6 +44,7 @@ from repro.pipeline.functional_units import FunctionalUnits
 from repro.pipeline.issue_queue import IssueQueue
 from repro.pipeline.regfile import RegisterFile
 from repro.pipeline.rob import ReorderBuffer
+from repro.pipeline.wakeup import Entry, WakeIndex
 from repro.stats.counters import SimStats
 from repro.workload.isa import NO_REG, OP_FLAGS
 from repro.workload.trace import Trace
@@ -43,6 +52,24 @@ from repro.workload.trace import Trace
 #: Components any stage may touch directly (sim-lint SIM-M registry):
 #: the observability layer, like stats/tracer, is write-from-anywhere.
 SIM_LINT_INTERFACES = frozenset({"obs"})
+
+#: sim-lint (SIM-T) blessing: a quiet span is a count of modelled cycles
+#: in which no stage acts — the cycles the per-cycle loop would step
+#: through — though the horizon it ends at is found in host indexes.
+SIM_LINT_MODEL_VIEWS = frozenset({"_quiet_span"})
+
+#: Memory-stage entry status (``entry[3]``) before its first
+#: ``load_blocked``/``store_blocked`` answer, and once that answer was
+#: "free".  A free entry stays free — its blockers are older and cannot
+#: reappear — except an out-of-order load, which a full load buffer can
+#: refuse again (``_REFUSED``: cleared, and refused by the buffer when
+#: last asked).  A parked entry holds the refusal reason instead.
+_UNASKED = 0
+_CLEARED = 1
+_REFUSED = 2
+
+#: Dispatch stalls: what :meth:`Processor._dispatch_stall` reports.
+_ROB_FULL, _IQ_FULL, _LQ_FULL, _SQ_FULL, _NO_REGISTER = range(5)
 
 
 @dataclass
@@ -63,7 +90,7 @@ class Processor:
 
     def __init__(self, machine: MachineConfig,
                  predictor_clear_interval: Optional[int] = None,
-                 checker=None, obs=None) -> None:
+                 checker=None, obs=None, skip_quiet: bool = True) -> None:
         self.machine = machine
         #: Optional ValidationChecker (repro.validate) cross-checking
         #: every committed load against the memory-model oracle and the
@@ -107,8 +134,19 @@ class Processor:
         self._last_fetch_block = -1
         self._last_writer: Dict[int, DynInst] = {}
         self._events: Dict[int, List[DynInst]] = {}
-        # memory stage: (seq, inst, attempt_cycle) sorted by seq
-        self._mem_stage: List[list] = []
+        # memory stage: [seq, inst, attempt_cycle, status] sorted by seq;
+        # refused entries wait in the wake index instead.
+        self._mem_stage: List[Entry] = []
+        self._wake = WakeIndex()
+        self._lb_mode = (machine.lsq.lq_search
+                         is LoadQueueSearchMode.LOAD_BUFFER)
+        #: Skip quiet cycles (``False`` steps every cycle: the same
+        #: statistics, for differential checks).  Synthetic
+        #: invalidations arrive on a per-cycle clock, so no cycle is
+        #: quiet under that scheme.
+        self._skip_quiet = skip_quiet and (
+            machine.lsq.lq_search is not LoadQueueSearchMode.INVALIDATION)
+        self._quiet_refused = 0   # loads the buffer refuses, per quiet cycle
         self._last_commit_cycle = 0
         self._trace: Optional[Trace] = None
         #: Optional PipelineTracer (repro.pipeline.debug) recording
@@ -130,16 +168,19 @@ class Processor:
         """
         seen_code = set()
         seen_data = set()
+        instruction_access = self.memory.instruction_access
+        data_access = self.memory.data_access
+        is_cold = trace.is_cold_address
         for inst in trace:
             block = inst.pc >> 5
             if block not in seen_code:
                 seen_code.add(block)
-                self.memory.instruction_access(inst.pc)
-            if OP_FLAGS[inst.op][2] and not trace.is_cold_address(inst.addr):
+                instruction_access(inst.pc)
+            if OP_FLAGS[inst.op][2]:
                 dblock = inst.addr >> 5
-                if dblock not in seen_data:
+                if dblock not in seen_data and not is_cold(inst.addr):
                     seen_data.add(dblock)
-                    self.memory.data_access(inst.addr)
+                    data_access(inst.addr)
 
     def warm_predictor(self, trace: Trace, window: int = 256) -> None:
         """Pre-train the memory-dependence predictor.
@@ -177,7 +218,12 @@ class Processor:
             self.obs.attach(self)
         watchdog = self.machine.core.watchdog_cycles
         while not self._finished():
-            self.step()
+            span = (self._quiet_span(max_cycles, watchdog)
+                    if self._skip_quiet else 0)
+            if span > 1:
+                self._skip(span)
+            else:
+                self.step()
             if max_cycles is not None and self.cycle >= max_cycles:
                 break
             if self.cycle - self._last_commit_cycle > watchdog:
@@ -214,6 +260,97 @@ class Processor:
         self.cycle += 1
 
     # ------------------------------------------------------------------
+    # quiet cycles
+    # ------------------------------------------------------------------
+
+    def _quiet_span(self, max_cycles: Optional[int], watchdog: int) -> int:
+        """How many cycles from now no stage can act (0: this one can)."""
+        horizon = self._event_horizon(max_cycles, watchdog)
+        return 0 if horizon is None else horizon - self.cycle
+
+    def _event_horizon(self, max_cycles: Optional[int],
+                       watchdog: int) -> Optional[int]:
+        """The first cycle at which a stage can act again, if no stage
+        can act in this one (``None`` when one can).
+
+        A cycle is quiet when nothing is ready to issue or completes,
+        the ROB head cannot commit, dispatch and fetch are blocked, and
+        every memory-stage entry is parked, waits for a later retry
+        cycle, or is a load the full load buffer refuses.  Nothing then
+        changes until the horizon: the next completion or retry, the end
+        of a fetch stall, ``max_cycles`` or the deadlock watchdog,
+        whichever is first.
+        """
+        cycle = self.cycle
+        if self.iq.has_ready or cycle in self._events:
+            return None
+        if (cycle >= self._fetch_stall_until
+                and self._redirect_branch is None
+                and self._fetch_index < len(self._trace)
+                and len(self._fetch_buffer) < 2 * self._fetch_width):
+            return None
+        head = self.rob.head
+        if head is not None and head.state is InstState.COMPLETE:
+            return None
+        if self._fetch_buffer and \
+                self._dispatch_stall(self._fetch_buffer[0]) is None:
+            return None
+        horizon = self._last_commit_cycle + watchdog + 1
+        if max_cycles is not None and max_cycles < horizon:
+            horizon = max_cycles
+        refused = 0
+        for entry in self._mem_stage:
+            if entry[2] > cycle:
+                if entry[2] < horizon:
+                    horizon = entry[2]
+            elif self._buffer_refuses(entry):
+                refused += 1
+            else:
+                return None
+        if self._events:
+            horizon = min(horizon, min(self._events))
+        if (self._redirect_branch is None
+                and self._fetch_index < len(self._trace)
+                and cycle < self._fetch_stall_until < horizon):
+            horizon = self._fetch_stall_until
+        self._quiet_refused = refused
+        return horizon
+
+    def _buffer_refuses(self, entry: Entry) -> bool:
+        """True for a ripe, cleared load the full load buffer refuses."""
+        inst = entry[1]
+        lsq = self.lsq
+        if not ((entry[3] is _CLEARED or entry[3] is _REFUSED)
+                and inst.is_load and self._lb_mode
+                and lsq.load_buffer.full):
+            return False
+        nilp = lsq.nilp.nilp_seq()
+        return (nilp is not None and nilp < inst.seq
+                and (entry[3] is _REFUSED
+                     or lsq.load_buffer_refuses(inst)))
+
+    def _skip(self, span: int) -> None:
+        """Advance over ``span`` quiet cycles, charging each one exactly
+        as :meth:`step` would: the dispatch stall, the waits of loads
+        held back by a store set or the load buffer, and the queue
+        occupancy."""
+        if self._fetch_buffer:
+            self._charge_dispatch_stall(
+                self._dispatch_stall(self._fetch_buffer[0]), span)
+        self.stats.store_set_waits += self._wake.blocked(self.cycle) * span
+        self.stats.load_buffer_full_stalls += self._quiet_refused * span
+        self.lsq.sample(span)
+        if self.obs is not None:
+            self.obs.on_skip(self, span)
+        end = self.cycle + span
+        if self.checker is not None:
+            # The invariant scan still runs on every simulated cycle.
+            while self.cycle < end:
+                self.checker.end_cycle()
+                self.cycle += 1
+        self.cycle = end
+
+    # ------------------------------------------------------------------
     # 1. commit
     # ------------------------------------------------------------------
 
@@ -240,6 +377,10 @@ class Processor:
             elif head.is_load:
                 lsq.commit_load(head)
             rob.commit_head()
+            # Only a squash walks the prev_writer chain, and never past
+            # a committed writer: drop the link, or every instruction
+            # of the run stays reachable from the rename map.
+            head.prev_writer = None
             self.regfile.release(head.inst.dest)
             if tracer is not None:
                 tracer.note("commit", head, cycle)
@@ -304,71 +445,166 @@ class Processor:
         cycle = self.cycle
         invalidation = lsq.poll_invalidation(cycle)
         if invalidation is not None:
+            # Cut before the walk: no entry is asked or charged.
             self._recover(invalidation)
             return
         mem_stage = self._mem_stage
+        wake = self._wake
         stats = self.stats
+        lb_mode = self._lb_mode
+        load_buffer = lsq.load_buffer
+        # Only an executing load fills the load buffer or moves the NILP.
+        lb_full = lb_mode and load_buffer.full
+        nilp: Optional[int] = None
+        nilp_known = False
+        # Only an executing load takes a data port during the walk.
+        d_ports = self.memory.d_ports
+        d_free = d_ports.available(cycle)
+        cleared = _CLEARED
+        refused = _REFUSED
+        retry_type = Retry
+        load_blocked = lsq.load_blocked
+        search_stall = lsq.search_stall
+        try_execute_load = lsq.try_execute_load
         index = 0
         while index < len(mem_stage):
             entry = mem_stage[index]
-            inst = entry[1]
-            if inst.state is InstState.SQUASHED:
-                mem_stage.pop(index)
-                continue
             if entry[2] > cycle:
                 index += 1
                 continue
+            inst = entry[1]
             if inst.is_load:
-                reason = lsq.load_blocked(inst)
-                if reason is not None:
-                    if reason == "load_buffer_full":
+                status = entry[3]
+                if status is not cleared and status is not refused:
+                    reason = load_blocked(inst)
+                    if reason is not None and reason != "load_buffer_full":
+                        del mem_stage[index]
+                        self._park(entry, reason)
+                        continue
+                    # Past every gate but, perhaps, the load buffer's.
+                    if reason is not None:
+                        entry[3] = refused
                         stats.load_buffer_full_stalls += 1
-                    elif reason == "store_set":
-                        stats.store_set_waits += 1
+                        index += 1
+                        continue
+                    entry[3] = cleared
+                elif lb_full:
+                    # Only the load-buffer gate can refuse a cleared
+                    # load again, and only one past the NILP.  Its
+                    # answer for a load it refused last time stands
+                    # while the buffer stays full and the NILP behind.
+                    if not nilp_known:
+                        nilp = lsq.nilp.nilp_seq()
+                        nilp_known = True
+                    if nilp is not None and nilp < inst.seq and (
+                            status is refused
+                            or lsq.load_buffer_refuses(inst)):
+                        entry[3] = refused
+                        stats.load_buffer_full_stalls += 1
+                        index += 1
+                        continue
+                    entry[3] = cleared
+                else:
+                    entry[3] = cleared
+                if not d_free:
+                    # Every later load loses the data port too; the
+                    # entry stays ripe for the next cycle.
+                    lsq.dcache_stall(inst, cycle)
                     index += 1
                     continue
-                outcome = lsq.try_execute_load(inst, cycle)
-                if isinstance(outcome, Retry):
+                outcome = (search_stall(inst, cycle)
+                           or try_execute_load(inst, cycle))
+                if type(outcome) is retry_type:
                     entry[2] = outcome.next_cycle
                     index += 1
                     continue
-                mem_stage.pop(index)
+                d_free = d_ports.available(cycle)
+                del mem_stage[index]
                 inst.state = InstState.EXECUTING
                 self._events.setdefault(cycle + outcome.latency,
                                         []).append(inst)
                 if self.checker is not None:
                     self.checker.on_load_executed(inst, outcome.violation)
                 if outcome.violation is not None:
+                    self._cut_walk(inst.seq)
                     self._recover(outcome.violation)
                     return
+                lb_full = lb_mode and load_buffer.full
+                nilp_known = False
+                if wake.nilp_waiting and not inst.ooo_issued:
+                    # An in-order load moved the NILP.
+                    index = self._unpark(
+                        wake.nilp_moved(lsq.nilp.nilp_seq()), index,
+                        inst.seq)
             elif inst.is_store:
-                if lsq.store_blocked(inst) is not None:
-                    index += 1
-                    continue
-                outcome = lsq.try_execute_store(inst, cycle)
-                if isinstance(outcome, Retry):
+                if entry[3] is not cleared:
+                    reason = lsq.store_blocked(inst)
+                    if reason is not None:
+                        del mem_stage[index]
+                        self._park(entry, reason)
+                        continue
+                    entry[3] = cleared
+                outcome = (lsq.store_search_stall(inst, cycle)
+                           or lsq.try_execute_store(inst, cycle))
+                if type(outcome) is retry_type:
                     entry[2] = outcome.next_cycle
                     index += 1
                     continue
-                mem_stage.pop(index)
+                del mem_stage[index]
                 inst.state = InstState.COMPLETE
                 inst.complete_cycle = cycle
                 if self.tracer is not None:
                     self.tracer.note("complete", inst, cycle)
                 if outcome.violation is not None:
+                    self._cut_walk(inst.seq)
                     self._recover(outcome.violation)
                     return
+                index = self._unpark(wake.store_executed(inst.seq), index,
+                                     inst.seq)
             else:  # memory barrier
                 outcome = lsq.try_execute_membar(inst, cycle)
                 if isinstance(outcome, Retry):
                     entry[2] = outcome.next_cycle
                     index += 1
                     continue
-                mem_stage.pop(index)
+                del mem_stage[index]
                 inst.state = InstState.COMPLETE
                 inst.complete_cycle = cycle
                 if self.tracer is not None:
                     self.tracer.note("complete", inst, cycle)
+                index = self._unpark(wake.membar_completed(), index,
+                                     inst.seq)
+        # Parked loads the walk passed this cycle, as the per-cycle
+        # re-ask would have charged them.
+        stats.store_set_waits += wake.blocked(cycle)
+
+    def _park(self, entry: Entry, reason: str) -> None:
+        """Take a refused entry out of the walk until its blocker moves,
+        charging this cycle's refusal."""
+        store = None
+        if reason == "store_set":
+            self.stats.store_set_waits += 1
+            store = self.lsq.store_set_blocker(entry[1])
+        self._wake.park(entry, reason, self.cycle, store)
+
+    def _unpark(self, woken: List[Entry], index: int, seq: int) -> int:
+        """Put woken entries back into the walk; return the walk index.
+
+        Entries younger than ``seq`` (the one that woke them) are still
+        ahead of the walk and are asked again this cycle; older ones
+        were already passed and wait for the next cycle.
+        """
+        mem_stage = self._mem_stage
+        for entry in woken:
+            bisect.insort(mem_stage, entry)
+            if entry[0] < seq:
+                index += 1
+        return index
+
+    def _cut_walk(self, seq: int) -> None:
+        """The walk stops at ``seq`` (a squash follows): charge the
+        parked loads it passed before stopping."""
+        self.stats.store_set_waits += self._wake.blocked(self.cycle, seq)
 
     # ------------------------------------------------------------------
     # 4. issue
@@ -407,7 +643,8 @@ class Processor:
             if inst.is_memory or inst.is_membar:
                 # One cycle of address generation (memory ops), then the
                 # LSQ access; barriers wait here for older memory ops.
-                bisect.insort(mem_stage, [inst.seq, inst, cycle + 1])
+                bisect.insort(mem_stage, [inst.seq, inst, cycle + 1,
+                                          _UNASKED])
             else:
                 events.setdefault(cycle + inst.latency, []).append(inst)
         for inst in deferred:
@@ -426,27 +663,15 @@ class Processor:
         iq = self.iq
         regfile = self.regfile
         lsq = self.lsq
-        stats = self.stats
         tracer = self.tracer
         checker = self.checker
         for __ in range(self._issue_width):
             if not fetch_buffer:
                 return
             inst = fetch_buffer[0]
-            if rob.full:
-                stats.rob_full_stalls += 1
-                return
-            if iq.full:
-                stats.iq_full_stalls += 1
-                return
-            if inst.is_memory and not lsq.can_allocate(inst):
-                if inst.is_load:
-                    stats.lq_full_stalls += 1
-                else:
-                    stats.sq_full_stalls += 1
-                return
-            if not regfile.can_rename(inst.inst.dest):
-                regfile.note_rename_stall()
+            stall = self._dispatch_stall(inst)
+            if stall is not None:
+                self._charge_dispatch_stall(stall, 1)
                 return
             fetch_buffer.popleft()
             if tracer is not None:
@@ -461,6 +686,31 @@ class Processor:
                     checker.on_dispatch(inst)
             elif inst.is_membar:
                 lsq.on_membar_dispatch(inst)
+
+    def _dispatch_stall(self, inst: DynInst) -> Optional[int]:
+        """Why dispatch cannot take ``inst`` this cycle (None: it can)."""
+        if self.rob.full:
+            return _ROB_FULL
+        if self.iq.full:
+            return _IQ_FULL
+        if inst.is_memory and not self.lsq.can_allocate(inst):
+            return _LQ_FULL if inst.is_load else _SQ_FULL
+        if not self.regfile.can_rename(inst.inst.dest):
+            return _NO_REGISTER
+        return None
+
+    def _charge_dispatch_stall(self, stall: int, cycles: int) -> None:
+        stats = self.stats
+        if stall == _ROB_FULL:
+            stats.rob_full_stalls += cycles
+        elif stall == _IQ_FULL:
+            stats.iq_full_stalls += cycles
+        elif stall == _LQ_FULL:
+            stats.lq_full_stalls += cycles
+        elif stall == _SQ_FULL:
+            stats.sq_full_stalls += cycles
+        else:
+            self.regfile.note_rename_stall(cycles)
 
     @hotpath
     def _wire_dependences(self, inst: DynInst) -> None:
@@ -548,6 +798,8 @@ class Processor:
         self.iq.squash(in_queue)
         self._mem_stage = [entry for entry in self._mem_stage
                            if entry[0] < seq]
+        for entry in self._wake.squash_from(seq):
+            bisect.insort(self._mem_stage, entry)
         # Squashed instructions still in the fetch buffer: the buffer is
         # younger than anything in the ROB, so clear it wholesale.
         self._fetch_buffer.clear()
@@ -590,26 +842,11 @@ def simulate(trace: Trace, machine: MachineConfig,
     :class:`repro.obs.Observer` collecting structured events, interval
     metrics and the CPI stall stack; the returned statistics are
     bit-identical with and without it.
-
-    ``machine.backend`` selects the engine: ``"python"`` runs this
-    module's per-cycle reference loop, ``"fast"`` the batched
-    :mod:`repro.fastcore` engine (bit-identical ``SimStats`` by
-    contract; it falls back to the reference loop whenever a checker,
-    observer or tracer is attached).
     """
     if checker is None and validate:
         from repro.validate import ValidationChecker
         checker = ValidationChecker()
-    if machine.backend == "fast":
-        # Deferred import: repro.fastcore subclasses Processor.  The
-        # fast engine falls back to this per-cycle one on its own when
-        # a checker/observer/tracer needs per-cycle callbacks.
-        from repro.fastcore import FastProcessor
-        processor: Processor = FastProcessor(
-            machine, predictor_clear_interval=predictor_clear_interval,
-            checker=checker, obs=obs)
-    else:
-        processor = Processor(
-            machine, predictor_clear_interval=predictor_clear_interval,
-            checker=checker, obs=obs)
+    processor = Processor(
+        machine, predictor_clear_interval=predictor_clear_interval,
+        checker=checker, obs=obs)
     return processor.run(trace, max_cycles=max_cycles, warm=warm)

@@ -24,18 +24,14 @@ class RegisterFile:
         self._fp_free = fp_registers - arch_registers
         self.rename_stalls = 0
 
-    @staticmethod
-    def _is_fp(reg: int) -> bool:
-        return reg >= FP_REG_BASE
-
-    def note_rename_stall(self) -> None:
-        """Record one dispatch cycle lost to an empty free list."""
-        self.rename_stalls += 1
+    def note_rename_stall(self, cycles: int = 1) -> None:
+        """Record dispatch cycles lost to an empty free list."""
+        self.rename_stalls += cycles
 
     def can_rename(self, dest: int) -> bool:
         if dest == NO_REG:
             return True
-        if self._is_fp(dest):
+        if dest >= FP_REG_BASE:
             return self._fp_free > 0
         return self._int_free > 0
 
@@ -43,7 +39,7 @@ class RegisterFile:
         """Claim a physical register for ``dest`` (NO_REG is free)."""
         if dest == NO_REG:
             return
-        if self._is_fp(dest):
+        if dest >= FP_REG_BASE:
             if self._fp_free <= 0:
                 raise RuntimeError("FP register file exhausted")
             self._fp_free -= 1
@@ -56,7 +52,7 @@ class RegisterFile:
         """Return the previous mapping's register (at commit or squash)."""
         if dest == NO_REG:
             return
-        if self._is_fp(dest):
+        if dest >= FP_REG_BASE:
             self._fp_free += 1
         else:
             self._int_free += 1

@@ -43,6 +43,7 @@ import asyncio
 import contextvars
 import dataclasses
 import json
+import signal
 import sys
 import time
 import urllib.parse
@@ -63,6 +64,15 @@ from repro.serve.telemetry import FleetTelemetry
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed", 409: "Conflict",
             429: "Too Many Requests", 500: "Internal Server Error"}
+
+class BadRequest(ValueError):
+    """A request the server cannot parse; answered with 400."""
+
+    def __init__(self, method: str, target: str, message: str) -> None:
+        super().__init__(message)
+        self.method = method
+        self.target = target
+
 
 #: Status the current request has written (contextvar: every client
 #: connection is its own task, so concurrent requests cannot race it).
@@ -330,6 +340,12 @@ class ServeApp:
             await self._dispatch(method, target, headers, body, writer)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
+        except BadRequest as error:
+            method, target = error.method, error.target
+            try:
+                self._write_json(writer, 400, {"error": str(error)})
+            except (ConnectionError, RuntimeError):
+                pass
         except Exception as error:  # noqa: BLE001 — a request must not kill the server
             self.telemetry.log("error", "http.error",
                                method=method, target=target,
@@ -373,7 +389,11 @@ class ServeApp:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length") or 0)
+        length_text = headers.get("content-length") or "0"
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise BadRequest(method, target,
+                             f"bad Content-Length {length_text!r}")
+        length = int(length_text)
         body = await reader.readexactly(length) if length > 0 else b""
         return method, target, headers, body
 
@@ -642,15 +662,29 @@ class ServeApp:
 
 
 def run_server(config: Optional[ServeConfig] = None) -> None:
-    """Blocking entry point for ``repro serve`` (Ctrl-C to stop).
+    """Blocking entry point for ``repro serve`` (Ctrl-C or SIGTERM to
+    stop; both close the worker pool before exiting).
 
     Emits structured JSON log lines on stdout (``echo_logs``) instead
     of ad-hoc prints, so a supervisor can ship them as-is.
     """
     config = config if config is not None else ServeConfig()
     config.echo_logs = True
+    reason = "interrupt"
 
     async def _main() -> None:
+        nonlocal reason
+        stop = asyncio.Event()
+
+        def _terminate() -> None:
+            nonlocal reason
+            reason = "terminate"
+            stop.set()
+
+        # SIGTERM takes the same way out as Ctrl-C: close the pool, so
+        # no spawned worker (or the resource tracker) outlives us.
+        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM,
+                                                      _terminate)
         app = ServeApp(config)
         await app.start()
         cache = app.engine.cache
@@ -661,11 +695,12 @@ def run_server(config: Optional[ServeConfig] = None) -> None:
             cache=str(cache.root) if cache is not None else None,
             heartbeat_s=app.config.heartbeat_s)
         try:
-            await asyncio.Event().wait()
+            await stop.wait()
         finally:
             await app.close()
 
     try:
         asyncio.run(_main())
     except KeyboardInterrupt:
-        print(json.dumps({"event": "serve.stop", "reason": "interrupt"}))
+        pass
+    print(json.dumps({"event": "serve.stop", "reason": reason}))

@@ -168,6 +168,7 @@ def build_bundle(processor, seq: int = -1, trace_index: int = -1,
         pipetrace = "(no pipeline tracer attached)"
     state = (f"rob={len(processor.rob)} iq={len(processor.iq)} "
              f"mem_stage={len(processor._mem_stage)} "
+             f"parked={len(processor._wake)} "
              f"lq={len(processor.lsq.lq)} sq={len(processor.lsq.sq)} "
              f"last_commit_cycle={processor._last_commit_cycle}")
     if seq >= 0:

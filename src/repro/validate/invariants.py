@@ -194,7 +194,8 @@ def _check_ports(processor, findings: List[Finding]) -> None:
 
 def _check_mem_stage(processor, findings: List[Finding]) -> None:
     previous = None
-    for seq, __, __ in processor._mem_stage:
+    for entry in processor._mem_stage:
+        seq = entry[0]
         if previous is not None and seq <= previous:
             findings.append(Finding(
                 "mem-stage", seq,

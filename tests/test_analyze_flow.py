@@ -121,6 +121,31 @@ class TestTimeTaint:
         """}, select={"SIM-T001"})
         assert rules_of(findings) == ["SIM-T001"]
 
+    def test_wake_index_and_event_horizon_are_host_only(self, tmp_path):
+        """Reading the wake index or the event horizon into a charge is
+        flagged; the blessed views (parked-load count, quiet span) are
+        the sanctioned crossings."""
+        findings = lint_tree(tmp_path, {"pipeline/p.py": """
+            SIM_LINT_MODEL_VIEWS = frozenset({"blocked", "_quiet_span"})
+
+            class Processor:
+                def _event_horizon(self):
+                    return self.cycle + 1
+
+                def _quiet_span(self):
+                    return self._event_horizon() - self.cycle
+
+                def bad(self):
+                    self.stats.waits += len(self._wake)
+                    self.stats.stalls += self._event_horizon()
+
+                def good(self):
+                    self.stats.waits += self._wake.blocked(self.cycle)
+                    self.stats.stalls += self._quiet_span()
+        """}, select={"SIM-T001"})
+        assert rules_of(findings) == ["SIM-T001", "SIM-T001"]
+        assert {finding.line for finding in findings} == {12, 13}
+
     def test_out_of_scope_module_not_reported(self, tmp_path):
         findings = lint_tree(tmp_path, {"harness/h.py": """
             class Host:

@@ -15,13 +15,12 @@ segmented preset and ``wupwise`` on the pair-predictor preset trigger
 load-load ordering violation squashes, so recovery, replay, and
 re-execution paths are all under the digest.
 
-Every golden cell runs under **both** simulation backends
-(``MachineConfig.backend``: the reference python engine and the
-``repro.fastcore`` fast engine) against the *same* digest — the fast
-engine's contract is bit-identical SimStats, not approximately-equal
-ones.  ``scripts/fast_parity.py`` gives CI the same sweep as one
-command; ``tests/test_fastcore.py`` adds randomized cross-backend
-configs beyond the pinned grid.
+Every golden cell runs twice against the *same* digest: once stepping
+every simulated cycle and once skipping the quiet ones (the default).
+The parameter ids keep the names of the two engines that first agreed
+on these digests — ``python`` for the per-cycle loop, ``fast`` for the
+skipping one.  ``tests/test_event_engine.py`` adds randomized machines
+beyond the pinned grid.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from repro.config import (
     segmented_lsq,
     techniques_lsq,
 )
-from repro.pipeline.processor import simulate
+from repro.pipeline.processor import Processor, simulate
 from repro.stats.counters import SimStats, canonical_stats, stats_digest
 from repro.workload import generate_trace
 
@@ -113,19 +112,23 @@ def _trace(bench, seed):
     return _TRACE_CACHE[key]
 
 
-@pytest.mark.parametrize("backend", ["python", "fast"])
+#: Parameter id -> whether the run skips quiet cycles.
+SKIP_QUIET = {"python": False, "fast": True}
+
+
+@pytest.mark.parametrize("mode", ["python", "fast"])
 @pytest.mark.parametrize("bench,seed,preset",
                          sorted(GOLDEN_DIGESTS),
                          ids=lambda v: str(v))
-def test_stats_digest_matches_golden(bench, seed, preset, backend):
-    machine = replace(base_machine(), lsq=PRESETS[preset](),
-                      backend=backend)
-    result = simulate(_trace(bench, seed), machine)
+def test_stats_digest_matches_golden(bench, seed, preset, mode):
+    machine = replace(base_machine(), lsq=PRESETS[preset]())
+    processor = Processor(machine, skip_quiet=SKIP_QUIET[mode])
+    result = processor.run(_trace(bench, seed))
     assert stats_digest(result.stats) == \
         GOLDEN_DIGESTS[(bench, seed, preset)], (
         f"SimStats drifted for {bench} seed {seed} on {preset} "
-        f"(backend={backend}): simulator semantics changed (or the "
-        "canonical encoding did); if intentional, regenerate "
+        f"(skip_quiet={SKIP_QUIET[mode]}): simulator semantics changed "
+        "(or the canonical encoding did); if intentional, regenerate "
         "GOLDEN_DIGESTS and say so in the PR")
 
 

@@ -18,6 +18,14 @@
 
 import asyncio
 import dataclasses
+import json
+import os
+import pathlib
+import signal
+import socket
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -354,6 +362,80 @@ class TestServerEndToEnd:
             client.result(job_id)
         assert "409" in str(excinfo.value)
         client.wait(job_id)  # drain so the module fixture closes clean
+
+
+@pytest.mark.parametrize("length", ["abc", "-5", "1e3"])
+def test_bad_content_length_is_400(harness, length):
+    """A Content-Length that is not a decimal byte count is the
+    client's fault: 400, not a 500 from the int() parse."""
+    request = (f"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+               f"Content-Length: {length}\r\n\r\n{{}}").encode()
+    with socket.create_connection(("127.0.0.1", harness.port),
+                                  timeout=10) as sock:
+        sock.sendall(request)
+        reply = b""
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            reply += chunk
+    assert reply.startswith(b"HTTP/1.1 400 "), reply[:80]
+    assert b"Content-Length" in reply.split(b"\r\n\r\n", 1)[1]
+
+
+def _children(pid):
+    """Child pids of ``pid`` (Linux ``/proc``)."""
+    found = set()
+    for task in pathlib.Path(f"/proc/{pid}/task").iterdir():
+        text = (task / "children").read_text().split()
+        found.update(int(child) for child in text)
+    return found
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not pathlib.Path("/proc/self/task").exists(),
+                    reason="needs Linux /proc to list child processes")
+def test_sigterm_closes_the_worker_pool(tmp_path):
+    """SIGTERM stops ``repro serve`` the way Ctrl-C does: the pool is
+    closed, so no spawned worker or resource tracker survives it."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+         "--workers", "2", "--cache", str(tmp_path / "cache")],
+        stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        started = any(json.loads(line).get("event") == "serve.start"
+                      for line in server.stdout)
+        assert started, "repro serve exited before it started"
+        children = _children(server.pid)
+        assert len(children) >= 2, children   # the workers (+ tracker)
+        server.send_signal(signal.SIGTERM)
+        out, _ = server.communicate(timeout=60)
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+    assert server.returncode == 0
+    assert json.loads(out.splitlines()[-1]) == {"event": "serve.stop",
+                                                "reason": "terminate"}
+    deadline = time.monotonic() + 10.0
+    while any(_running(pid) for pid in children) \
+            and time.monotonic() < deadline:
+        time.sleep(0.1)
+    survivors = sorted(pid for pid in children if _running(pid))
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)
+    assert not survivors, f"processes outlived the server: {survivors}"
 
 
 @pytest.mark.slow
