@@ -63,15 +63,24 @@ from repro.serve.telemetry import FleetTelemetry
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed", 409: "Conflict",
-            429: "Too Many Requests", 500: "Internal Server Error"}
+            413: "Payload Too Large", 429: "Too Many Requests",
+            500: "Internal Server Error"}
+
+#: Largest request body read, in bytes.  Sweep specs are a few KB; a
+#: larger ``Content-Length`` gets 413 before any body byte is read.
+MAX_BODY_BYTES = 1 << 20
+
 
 class BadRequest(ValueError):
-    """A request the server cannot parse; answered with 400."""
+    """A request the server refuses to read; answered with ``status``
+    (400, or 413 for a body over :data:`MAX_BODY_BYTES`)."""
 
-    def __init__(self, method: str, target: str, message: str) -> None:
+    def __init__(self, method: str, target: str, message: str,
+                 status: int = 400) -> None:
         super().__init__(message)
         self.method = method
         self.target = target
+        self.status = status
 
 
 #: Status the current request has written (contextvar: every client
@@ -343,7 +352,8 @@ class ServeApp:
         except BadRequest as error:
             method, target = error.method, error.target
             try:
-                self._write_json(writer, 400, {"error": str(error)})
+                self._write_json(writer, error.status,
+                                 {"error": str(error)})
             except (ConnectionError, RuntimeError):
                 pass
         except Exception as error:  # noqa: BLE001 — a request must not kill the server
@@ -394,6 +404,10 @@ class ServeApp:
             raise BadRequest(method, target,
                              f"bad Content-Length {length_text!r}")
         length = int(length_text)
+        if length > MAX_BODY_BYTES:
+            raise BadRequest(method, target,
+                             f"body of {length} bytes exceeds the "
+                             f"{MAX_BODY_BYTES}-byte limit", status=413)
         body = await reader.readexactly(length) if length > 0 else b""
         return method, target, headers, body
 

@@ -20,7 +20,7 @@ reproducible.
 from __future__ import annotations
 
 import random
-from typing import List
+from array import array
 
 
 class AddressStream:
@@ -83,6 +83,14 @@ class PointerChaseStream(AddressStream):
     Successive addresses are data-dependent in real pointer chasing; the
     synthetic program models that by making the chasing load feed the
     next iteration's address register.
+
+    The permutation is exactly ``random.Random(seed).shuffle`` of
+    ``range(slots)``, and the walk visits it in order, wrapping at
+    ``slots``: every slot is covered before any repeats.  The shuffle
+    runs inline (see :func:`_shuffled_slots`) on a compact array; a
+    trace walks a few hundred of the slots, but the walk starts at
+    ``order[0]``, the slot the backward shuffle fixes last, so the whole
+    shuffle still has to run.
     """
 
     def __init__(self, base: int, footprint: int, align: int = 8,
@@ -93,24 +101,41 @@ class PointerChaseStream(AddressStream):
         self.base = base
         self.align = align
         self.seed = seed
-        rng = random.Random(seed)
-        order = list(range(slots))
-        rng.shuffle(order)
-        # next_slot[i] follows the shuffled cycle, guaranteeing full
-        # coverage before repetition.
-        self._next_slot: List[int] = [0] * slots
-        for i, slot in enumerate(order):
-            self._next_slot[slot] = order[(i + 1) % slots]
-        self._start = order[0]
-        self._current = self._start
+        self._order = _shuffled_slots(slots, seed)
+        self._index = 0
 
     def next_address(self) -> int:
-        addr = self.base + self._current * self.align
-        self._current = self._next_slot[self._current]
+        addr = self.base + self._order[self._index] * self.align
+        self._index = (self._index + 1) % len(self._order)
         return addr
 
     def reset(self) -> None:
-        self._current = self._start
+        self._index = 0
+
+
+def _shuffled_slots(slots: int, seed: int) -> array[int]:
+    """``random.Random(seed).shuffle(list(range(slots)))``, bit for bit.
+
+    CPython's Fisher-Yates, inlined: for ``i`` from ``slots - 1`` down
+    to 1, draw ``j`` uniformly from ``[0, i]`` by rejection sampling
+    ``getrandbits((i + 1).bit_length())``, then swap.  The bit length is
+    constant over each power-of-two block of ``i + 1``, so it is taken
+    once per block.  Slots are held as 4-byte ints rather than Python
+    int objects.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    order = array("I", range(slots))
+    top = slots - 1
+    while top > 0:
+        bits = (top + 1).bit_length()
+        low = 1 << (bits - 1)       # smallest i + 1 with this bit length
+        for i in range(top, low - 2, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            order[i], order[j] = order[j], order[i]
+        top = low - 2
+    return order
 
 
 class StackStream(AddressStream):

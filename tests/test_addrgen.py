@@ -1,5 +1,8 @@
 """Unit tests for the address-stream generators."""
 
+import random
+import tracemalloc
+
 import pytest
 
 from repro.workload.addrgen import (
@@ -75,6 +78,41 @@ class TestPointerChaseStream:
     def test_rejects_tiny_region(self):
         with pytest.raises(ValueError):
             PointerChaseStream(base=0, footprint=64, align=64)
+
+    @pytest.mark.parametrize("slots", [2, 3, 4, 5, 31, 32, 33, 1023, 1024,
+                                       1025, 5000])
+    @pytest.mark.parametrize("seed", [0, 1, 9, 0x7FFFFFFF])
+    def test_walk_is_random_shuffle_of_slots(self, slots, seed):
+        """The inline shuffle is ``random.Random.shuffle``, bit for bit:
+        every mcf trace and golden statistic rests on this order."""
+        expected = list(range(slots))
+        random.Random(seed).shuffle(expected)
+        stream = PointerChaseStream(base=0, footprint=slots, align=1,
+                                    seed=seed)
+        assert [stream.next_address() for _ in range(slots)] == expected
+
+    def test_walk_wraps_after_mid_walk_reset(self):
+        slots = 33
+        stream = PointerChaseStream(base=0x1000, footprint=64 * slots,
+                                    align=64, seed=3)
+        cycle = [stream.next_address() for _ in range(slots)]
+        for _ in range(10):
+            stream.next_address()
+        stream.reset()
+        walked = [stream.next_address() for _ in range(2 * slots + 5)]
+        assert walked == cycle + cycle + cycle[:5]
+
+    def test_large_region_build_memory_is_bounded(self):
+        """A 24 MiB mcf region (393,216 slots) peaks within 4 MiB: the
+        permutation is one compact array, with no successor table."""
+        tracemalloc.start()
+        try:
+            stream = PointerChaseStream(0, 24 << 20, align=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stream.next_address() % 64 == 0
+        assert peak <= 4 << 20
 
 
 class TestStackStream:

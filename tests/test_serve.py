@@ -40,7 +40,7 @@ from repro.serve.client import (
 )
 from repro.serve.jobs import Busy, JobStore
 from repro.serve.scheduler import CRASH_BENCHMARK, WorkerCrash, WorkerPool
-from repro.serve.server import ServeConfig
+from repro.serve.server import MAX_BODY_BYTES, ServeConfig
 from repro.serve.singleflight import SingleFlight
 from repro.serve.spec import (
     SpecError,
@@ -381,6 +381,32 @@ def test_bad_content_length_is_400(harness, length):
             reply += chunk
     assert reply.startswith(b"HTTP/1.1 400 "), reply[:80]
     assert b"Content-Length" in reply.split(b"\r\n\r\n", 1)[1]
+
+
+def test_oversized_body_is_413_before_it_is_read(harness, client):
+    """A Content-Length over the body cap is refused with 413 from the
+    headers alone: the server neither waits for nor buffers the body,
+    and keeps serving ordinary jobs afterwards."""
+    length = MAX_BODY_BYTES + 1
+    for announced in (length, 99999999999):
+        request = (f"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                   f"Content-Length: {announced}\r\n\r\n{{}}").encode()
+        with socket.create_connection(("127.0.0.1", harness.port),
+                                      timeout=10) as sock:
+            sock.sendall(request)   # no body beyond "{}"; no write shutdown
+            reply = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 413 Payload Too Large"), \
+            reply[:80]
+        assert str(announced).encode() in reply
+    job = client.submit(spec_payload(seeds=[77]))
+    final = client.wait(str(job["id"]))
+    assert final["job"]["state"] == "done"
+    assert final["job"]["failed"] == 0
 
 
 def _children(pid):

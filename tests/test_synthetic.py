@@ -1,6 +1,7 @@
 """Tests for the synthetic SPEC2K-like trace generator."""
 
 import collections
+import hashlib
 
 import pytest
 from dataclasses import replace
@@ -205,6 +206,18 @@ class TestChaseChains:
                     runs[length] += 1
                 current, length = addr, 1
         assert runs and max(runs) >= 4
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "aa921b18c86af6aff5f4c57cc395f12ce75c8ad06d8b88f18c947fcaa0542b13"),
+        (1, "128cfa6bac2d13b3275707c8616925a102b6fcc09530a3c56f666af9aadbf35f"),
+    ])
+    def test_mcf_trace_digest_is_pinned(self, tmp_path, seed, digest):
+        """mcf is the one SPEC profile with pointer-chase slots, and no
+        golden SimStats cell runs it: pin its trace bytes so a change to
+        the chase permutation cannot pass unnoticed."""
+        path = tmp_path / "mcf.lsqtrace"
+        generate_trace("mcf", n_instructions=4000, seed=seed).save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestColdSlots:
